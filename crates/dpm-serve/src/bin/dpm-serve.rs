@@ -31,6 +31,9 @@ const USAGE: &str = "usage:
 Sessions host one governed simulation each, driven by NDJSON requests
 (one JSON document per line); `--audit` streams every session through
 an incremental auditor that kills sessions on illegal telemetry.
+`--trace PATH` writes the aggregate trace (census counters plus every
+retired session) at exit; without it the server keeps no retired
+sessions, so its memory follows the sessions open at once.
 `--addr 127.0.0.1:0` picks an ephemeral port and prints it.
 loadgen's `--metrics PATH` scrapes the server's Prometheus-style
 metrics snapshot after the run, validates the exposition grammar and
@@ -46,6 +49,16 @@ fn usage_exit(msg: &str) -> ExitCode {
 /// missing.
 fn take_value(args: &mut std::vec::IntoIter<String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The server for a `serve` or `stdio` run: only a run that will write
+/// the aggregate trace (`--trace PATH`) keeps retired sessions in memory.
+fn build_server(audit: bool, trace_path: Option<&str>) -> Server {
+    let config = ServerConfig { audit };
+    match trace_path {
+        Some(_) => Server::archiving(config),
+        None => Server::new(config),
+    }
 }
 
 fn write_trace(path: &str, server: &Server) -> Result<(), String> {
@@ -87,7 +100,7 @@ fn run_serve(args: Vec<String>) -> ExitCode {
     println!("dpm-serve: listening on {local}");
     let _ = std::io::stdout().flush();
 
-    let server = Server::new(ServerConfig { audit });
+    let server = build_server(audit, trace_path.as_deref());
     if let Err(e) = server.serve_tcp(listener) {
         eprintln!("dpm-serve: {e}");
         return ExitCode::from(1);
@@ -115,7 +128,7 @@ fn run_stdio(args: Vec<String>) -> ExitCode {
             other => return usage_exit(&format!("unknown stdio flag {other}")),
         }
     }
-    let server = Server::new(ServerConfig { audit });
+    let server = build_server(audit, trace_path.as_deref());
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let code = server.run_stdio(BufReader::new(stdin.lock()), stdout.lock());

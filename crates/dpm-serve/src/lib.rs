@@ -32,12 +32,14 @@
 //! telemetry stream across runs — and a session driven over TCP produces
 //! the same per-session trace as the identical script over stdio,
 //! regardless of how many other connections the server is juggling:
-//! each session records into its own [`dpm_telemetry::Recorder`] sibling
-//! and is absorbed into the root scope only at close.
+//! each session records into its own [`dpm_telemetry::Recorder`], which
+//! an archiving server (the binary's `--trace PATH`) absorbs into the
+//! root scope at close and any other server drops.
 //!
 //! Transport is deliberately boring: [`std::net::TcpListener`] with a
 //! thread per connection under a `crossbeam` scope, plus the `--stdio`
 //! single-connection mode for deterministic tests. No async runtime.
+//! Every NDJSON line leaves in one `write` ([`protocol::write_line`]).
 //!
 //! Like the telemetry and trace layers, non-test code here is panic-free
 //! (enforced by `ci/forbid_panics.sh`); every failure is a typed

@@ -17,11 +17,11 @@
 
 use dpm_core::units::seconds;
 use dpm_workloads::{board_spec, scenarios, FleetScenarioConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use crate::error::ServeError;
-use crate::protocol::{QueryKind, Request, Response, SessionSpec};
+use crate::protocol::{write_line, QueryKind, Request, Response, SessionSpec};
 
 /// What one loadgen run should do.
 #[derive(Debug, Clone)]
@@ -87,15 +87,24 @@ const CORRUPT_LINE: &str = "{\"Event\":{\"seq\":0,\"scope\":\"\",\
     \"name\":\"inject.corrupt\",\"slot\":null,\"time\":0.0,\
     \"fields\":[],\"detail\":null}}";
 
-/// One NDJSON round trip.
+/// Open a connection to the server: the write half with `TCP_NODELAY`
+/// set, and a buffered read half.
+fn connect(addr: &str) -> Result<(TcpStream, BufReader<TcpStream>), ServeError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    Ok((stream, reader))
+}
+
+/// One NDJSON round trip: the request line in one write, then the reply
+/// line.
 fn exchange(
     writer: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     req: &Request,
 ) -> Result<Response, ServeError> {
     let line = serde_json::to_string(req).map_err(|e| ServeError::BadRequest(e.to_string()))?;
-    writeln!(writer, "{line}")?;
-    writer.flush()?;
+    write_line(writer, line)?;
     let mut resp = String::new();
     if reader.read_line(&mut resp)? == 0 {
         return Err(ServeError::Io("server closed the connection".to_string()));
@@ -110,9 +119,7 @@ fn drive_session(
     spec: &SessionSpec,
     corrupt: bool,
 ) -> Result<Outcome, ServeError> {
-    let stream = TcpStream::connect(&cfg.addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let (mut writer, mut reader) = connect(&cfg.addr)?;
     let session = name.to_string();
 
     let opened = exchange(
@@ -233,9 +240,7 @@ fn scrape_metrics(
     cfg: &LoadgenConfig,
     results: &[Result<Outcome, ServeError>],
 ) -> Result<String, ServeError> {
-    let stream = TcpStream::connect(&cfg.addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let (mut writer, mut reader) = connect(&cfg.addr)?;
     let text = match exchange(&mut writer, &mut reader, &Request::Metrics)? {
         Response::Metrics { text } => text,
         other => {
@@ -313,15 +318,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<i32, ServeError> {
     }
 
     if cfg.shutdown {
-        match TcpStream::connect(&cfg.addr) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(read_half) => {
-                    let mut reader = BufReader::new(read_half);
-                    let mut writer = stream;
-                    let _ = exchange(&mut writer, &mut reader, &Request::Shutdown);
-                }
-                Err(e) => eprintln!("loadgen: shutdown clone failed: {e}"),
-            },
+        match connect(&cfg.addr) {
+            Ok((mut writer, mut reader)) => {
+                let _ = exchange(&mut writer, &mut reader, &Request::Shutdown);
+            }
             Err(e) => eprintln!("loadgen: shutdown connect failed: {e}"),
         }
     }

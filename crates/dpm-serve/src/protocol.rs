@@ -14,9 +14,14 @@
 //! - [`Response::Closed`] carries the complete **batch document**
 //!   (meta line first), byte-identical to what `Recorder::to_jsonl`
 //!   writes, so it pipes straight into `dpm-analyze audit -`.
+//!
+//! Both ends frame a line the same way, through [`write_line`]: the
+//! document and its `\n` leave in one `write_all`, so a line is one
+//! TCP segment whenever it fits in one.
 
 use dpm_sim::prelude::Disturbance;
 use serde::{Deserialize, Serialize};
+use std::io::{self, Write};
 
 use crate::error::ServeError;
 
@@ -274,6 +279,24 @@ impl Response {
 /// input.
 pub fn decode_request(line: &str) -> Result<Request, ServeError> {
     serde_json::from_str(line).map_err(|e| ServeError::BadRequest(e.to_string()))
+}
+
+/// Send one NDJSON line: `json` (one encoded document, no newline) with
+/// its `\n` terminator appended, handed to the writer in a single
+/// `write_all`.
+///
+/// One write per line is what keeps a request/response exchange off the
+/// Nagle/delayed-ACK stall: a line written as two `write` calls (the
+/// document, then the newline, as `writeln!` on an unbuffered socket
+/// does) leaves its newline behind in the sender's buffer until the
+/// peer's delayed ACK of the first segment arrives, some 40 ms later on
+/// loopback.
+///
+/// # Errors
+/// Whatever the writer returns.
+pub fn write_line<W: Write>(writer: &mut W, mut json: String) -> io::Result<()> {
+    json.push('\n');
+    writer.write_all(json.as_bytes())
 }
 
 /// Serialize a response to one NDJSON line (no trailing newline).

@@ -8,25 +8,28 @@
 //!
 //! ## Determinism across transports
 //!
-//! Each session records into its own recorder and is absorbed into the
-//! root under `serve/<name>` only at close (a reused name gets an
-//! `@<n>` incarnation suffix, so every absorbed scope holds exactly one
-//! run's stream), so a session's trace depends only on its own request
-//! sequence — never on what other connections are doing. The root trace
-//! aggregates counters (commutative sums) and absorbed per-session
-//! scopes; it audits green but its cross-scope line order is not a
-//! determinism surface.
+//! Each session records into its own recorder, so a session's trace
+//! depends only on its own request sequence — never on what other
+//! connections are doing. The root recorder counts the census
+//! (commutative sums). An *archiving* server ([`Server::archiving`],
+//! the binary's `--trace PATH`) also absorbs every retired session into
+//! the root under `serve/<name>` (a reused name gets an `@<n>`
+//! incarnation suffix, so every absorbed scope holds exactly one run's
+//! stream); that aggregate audits green but its cross-scope line order
+//! is not a determinism surface. Any other server drops a session's
+//! recorder at retire, so its memory follows the open sessions, not the
+//! sessions served.
 
 use dpm_sim::prelude::Recorder;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::ServeError;
 use crate::metrics::{self, ServerMetrics};
-use crate::protocol::{decode_request, encode_response, QueryKind, Request, Response};
+use crate::protocol::{decode_request, encode_response, write_line, QueryKind, Request, Response};
 use crate::session::Session;
 
 /// Server-wide switches.
@@ -42,11 +45,11 @@ pub struct Server {
     config: ServerConfig,
     root: Recorder,
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
-    /// Retirements per session name, for incarnation-suffixed absorb
-    /// scopes: a reused name must not merge two runs' streams into one
-    /// scope, or the aggregate trace stops being a set of single-run
-    /// streams and fails its own audit.
-    retired: Mutex<HashMap<String, u64>>,
+    /// On an archiving server only: retirements per session name, for
+    /// incarnation-suffixed absorb scopes. A reused name must not merge
+    /// two runs' streams into one scope, or the aggregate trace stops
+    /// being a set of single-run streams and fails its own audit.
+    retired: Option<Mutex<HashMap<String, u64>>>,
     shutdown: AtomicBool,
     any_killed: AtomicBool,
 }
@@ -59,15 +62,28 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Server {
-    /// A server with no sessions and an enabled root recorder.
+    /// A server with no sessions whose root recorder keeps only the
+    /// census counters: a retired session's recorder is dropped, so
+    /// memory is bounded by the sessions open at once.
     pub fn new(config: ServerConfig) -> Self {
         Self {
             config,
             root: Recorder::enabled("serve"),
             sessions: Mutex::new(HashMap::new()),
-            retired: Mutex::new(HashMap::new()),
+            retired: None,
             shutdown: AtomicBool::new(false),
             any_killed: AtomicBool::new(false),
+        }
+    }
+
+    /// A server that also archives every retired session's trace into
+    /// the root (see [`Server::trace_jsonl`]) — for a caller that will
+    /// write the aggregate trace. Its memory grows with every session
+    /// served.
+    pub fn archiving(config: ServerConfig) -> Self {
+        Self {
+            retired: Some(Mutex::new(HashMap::new())),
+            ..Self::new(config)
         }
     }
 
@@ -77,7 +93,8 @@ impl Server {
         self.any_killed.load(Ordering::SeqCst)
     }
 
-    /// The root trace (absorbed sessions + census counters) as JSONL.
+    /// The root trace as JSONL: the census counters, plus every retired
+    /// session's stream on an [archiving](Server::archiving) server.
     pub fn trace_jsonl(&self) -> String {
         self.root.to_jsonl()
     }
@@ -117,24 +134,27 @@ impl Server {
             .ok_or_else(|| ServeError::UnknownSession(name.to_string()))
     }
 
-    /// Remove a session from the registry and absorb its trace into the
-    /// root under `serve/<name>` — or `serve/<name>@<n>` when the name
-    /// has been retired before, so every absorbed scope holds exactly
-    /// one run's stream and the aggregate stays auditable.
+    /// Remove a session from the registry and count it. An archiving
+    /// server also absorbs its trace into the root under `serve/<name>`
+    /// — or `serve/<name>@<n>` when the name has been retired before, so
+    /// every absorbed scope holds exactly one run's stream and the
+    /// aggregate stays auditable.
     fn retire(&self, name: &str, session: &Session, killed: bool) {
         relock(&self.sessions).remove(name);
-        let incarnation = {
-            let mut retired = relock(&self.retired);
-            let n = retired.entry(name.to_string()).or_insert(0);
-            *n += 1;
-            *n
-        };
-        let scope = if incarnation == 1 {
-            format!("serve/{name}")
-        } else {
-            format!("serve/{name}@{incarnation}")
-        };
-        self.root.absorb(&scope, session.recorder());
+        if let Some(retired) = &self.retired {
+            let incarnation = {
+                let mut retired = relock(retired);
+                let n = retired.entry(name.to_string()).or_insert(0);
+                *n += 1;
+                *n
+            };
+            let scope = if incarnation == 1 {
+                format!("serve/{name}")
+            } else {
+                format!("serve/{name}@{incarnation}")
+            };
+            self.root.absorb(&scope, session.recorder());
+        }
         if killed {
             self.root.incr("serve.sessions_killed", 1);
             self.any_killed.store(true, Ordering::SeqCst);
@@ -304,19 +324,12 @@ impl Server {
         }
     }
 
-    /// Serve NDJSON request/response over arbitrary reader/writer pairs
-    /// — the `--stdio` mode, and the deterministic harness for tests.
-    /// Returns the process exit code: 0 clean, 1 when any session was
-    /// killed by the auditor or the transport failed.
-    pub fn run_stdio<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> i32 {
+    /// Answer NDJSON requests from `reader` on `writer`, one line each
+    /// through [`write_line`], until EOF or a `Shutdown` request. Returns
+    /// whether the loop stopped on `Shutdown`.
+    fn serve_lines<R: BufRead, W: Write>(&self, reader: R, writer: &mut W) -> io::Result<bool> {
         for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("dpm-serve: stdin read failed: {e}");
-                    return 1;
-                }
-            };
+            let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
@@ -324,14 +337,22 @@ impl Server {
                 Ok(req) => self.handle(&req),
                 Err(e) => Response::error(&e),
             };
-            let stop = matches!(resp, Response::ShuttingDown);
-            if let Err(e) = writeln!(writer, "{}", encode_response(&resp)) {
-                eprintln!("dpm-serve: write failed: {e}");
-                return 1;
+            write_line(writer, encode_response(&resp))?;
+            if matches!(resp, Response::ShuttingDown) {
+                return Ok(true);
             }
-            if stop {
-                break;
-            }
+        }
+        Ok(false)
+    }
+
+    /// Serve NDJSON request/response over arbitrary reader/writer pairs
+    /// — the `--stdio` mode, and the deterministic harness for tests.
+    /// Returns the process exit code: 0 clean, 1 when any session was
+    /// killed by the auditor or the transport failed.
+    pub fn run_stdio<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> i32 {
+        if let Err(e) = self.serve_lines(reader, &mut writer) {
+            eprintln!("dpm-serve: stdio transport failed: {e}");
+            return 1;
         }
         let _ = writer.flush();
         i32::from(self.any_killed())
@@ -341,6 +362,11 @@ impl Server {
     /// shutdown. `addr` is the listener's own address, used to unblock
     /// the accept loop when this connection requests shutdown.
     fn serve_conn(&self, stream: TcpStream, addr: SocketAddr) {
+        // A reply larger than one segment (a Close carries the whole
+        // session trace) must not wait on the client's delayed ACK.
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("dpm-serve: cannot set TCP_NODELAY: {e}");
+        }
         let reader = match stream.try_clone() {
             Ok(s) => BufReader::new(s),
             Err(e) => {
@@ -349,25 +375,9 @@ impl Server {
             }
         };
         let mut writer = stream;
-        for line in reader.lines() {
-            let Ok(line) = line else { return };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let resp = match decode_request(&line) {
-                Ok(req) => self.handle(&req),
-                Err(e) => Response::error(&e),
-            };
-            let stop = matches!(resp, Response::ShuttingDown);
-            if writeln!(writer, "{}", encode_response(&resp)).is_err() {
-                return;
-            }
-            let _ = writer.flush();
-            if stop {
-                // Unblock the accept loop so the server can exit.
-                let _ = TcpStream::connect(addr);
-                return;
-            }
+        if let Ok(true) = self.serve_lines(reader, &mut writer) {
+            // Unblock the accept loop so the server can exit.
+            let _ = TcpStream::connect(addr);
         }
     }
 
@@ -448,7 +458,7 @@ mod tests {
     #[test]
     fn a_reused_session_name_keeps_the_aggregate_trace_auditable() {
         use dpm_trace::{audit, AuditConfig, Trace};
-        let server = Server::new(ServerConfig { audit: true });
+        let server = Server::archiving(ServerConfig { audit: true });
         for _ in 0..3 {
             let Response::Opened { total_slots, .. } = server.handle(&open_req("a")) else {
                 panic!("open failed");
@@ -477,6 +487,47 @@ mod tests {
         let trace = Trace::parse(&doc).expect("aggregate parses");
         let report = audit(&trace, &AuditConfig::default());
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn a_non_archiving_server_keeps_only_the_census() {
+        use dpm_telemetry::TraceLine;
+        let server = Server::new(ServerConfig { audit: true });
+        let cycle = |name: &str| {
+            assert!(matches!(
+                server.handle(&open_req(name)),
+                Response::Opened { .. }
+            ));
+            assert!(matches!(
+                server.handle(&Request::Advance {
+                    session: name.into(),
+                    slots: 3,
+                }),
+                Response::Advanced { .. }
+            ));
+            assert!(matches!(
+                server.handle(&Request::Close {
+                    session: name.into(),
+                }),
+                Response::Closed { audit_ok: true, .. }
+            ));
+        };
+        cycle("s0");
+        let after_one = server.trace_jsonl().lines().count();
+        for i in 1..=50 {
+            cycle(&format!("s{i}"));
+        }
+        let doc = server.trace_jsonl();
+        assert_eq!(doc.lines().count(), after_one, "{doc}");
+        // The meta line and the census counters, nothing retained.
+        for line in doc.lines() {
+            match serde_json::from_str::<TraceLine>(line).expect("trace line") {
+                TraceLine::Meta(meta) => assert_eq!(meta.events, 0),
+                TraceLine::Counter(c) => assert!(c.name.starts_with("serve."), "{line}"),
+                _ => panic!("not a census line: {line}"),
+            }
+        }
+        assert_eq!(server.root.counter("serve.sessions_closed"), 51);
     }
 
     #[test]
@@ -636,6 +687,55 @@ mod tests {
             .lines()
             .last()
             .is_some_and(|l| l.contains("ShuttingDown")));
+    }
+
+    /// A writer that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_line_leaves_in_exactly_one_write() {
+        let server = Server::new(ServerConfig { audit: true });
+        let script = [
+            encode_request_line(&open_req("s0")),
+            encode_request_line(&Request::Advance {
+                session: "s0".into(),
+                slots: 2,
+            }),
+            encode_request_line(&Request::Query {
+                session: "s0".into(),
+                what: QueryKind::Plan,
+            }),
+            "\"Metrics\"".to_string(),
+            "not json".to_string(),
+            encode_request_line(&Request::Close {
+                session: "s0".into(),
+            }),
+            "\"Shutdown\"".to_string(),
+        ];
+        let mut out = CountingWriter::default();
+        assert_eq!(
+            server.run_stdio(Cursor::new(script.join("\n")), &mut out),
+            0
+        );
+        assert_eq!(out.writes.len(), script.len());
+        for write in &out.writes {
+            assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert_eq!(write.last(), Some(&b'\n'));
+        }
     }
 
     fn encode_request_line(req: &Request) -> String {

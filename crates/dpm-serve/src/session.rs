@@ -339,7 +339,8 @@ impl Session {
             .collect()
     }
 
-    /// The session's recorder (absorbed into the server root at close).
+    /// The session's recorder (absorbed into an archiving server's root
+    /// at close).
     pub fn recorder(&self) -> &Recorder {
         &self.telemetry
     }

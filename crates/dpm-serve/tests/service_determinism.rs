@@ -9,7 +9,7 @@
 //! - the loadgen client round-trips a small fleet population cleanly
 //!   (exit 0) and gets a corrupted session killed (exit 1).
 
-use dpm_serve::protocol::{QueryKind, Request, Response, SessionSpec};
+use dpm_serve::protocol::{write_line, QueryKind, Request, Response, SessionSpec};
 use dpm_sim::prelude::Disturbance;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -158,11 +158,27 @@ fn spawn_server() -> ServerHandle {
     ServerHandle { child, addr }
 }
 
+/// Connect to the server as its clients do: `TCP_NODELAY` on the write
+/// half, a buffered read half.
+fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// Send one request line in a single write, then read its reply line.
+fn exchange(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &Request) -> String {
+    write_line(writer, serde_json::to_string(req).expect("encode")).expect("send");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("recv");
+    resp
+}
+
 fn shutdown_server(mut handle: ServerHandle) {
     if let Ok(stream) = TcpStream::connect(&handle.addr) {
         let mut writer = stream;
-        let _ = writeln!(writer, "\"Shutdown\"");
-        let _ = writer.flush();
+        let _ = write_line(&mut writer, "\"Shutdown\"".to_string());
         let mut buf = String::new();
         let _ = writer.read_to_string(&mut buf);
     }
@@ -173,16 +189,10 @@ fn shutdown_server(mut handle: ServerHandle) {
 /// Drive `reqs` over one TCP connection, returning the raw response
 /// lines.
 fn drive_tcp(addr: &str, reqs: &[Request]) -> Vec<String> {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    let (mut writer, mut reader) = connect(addr);
     let mut responses = Vec::with_capacity(reqs.len());
     for req in reqs {
-        let line = serde_json::to_string(req).expect("encode");
-        writeln!(writer, "{line}").expect("send");
-        writer.flush().expect("flush");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("recv");
+        let resp = exchange(&mut writer, &mut reader, req);
         assert!(!resp.is_empty(), "server closed early");
         responses.push(resp.trim().to_string());
     }
@@ -297,9 +307,7 @@ fn tcp_scrapes_validate_under_concurrent_sessions() {
     let mut conns = Vec::new();
     for i in 0..3 {
         let name = format!("live-{i}");
-        let stream = TcpStream::connect(&addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
+        let (mut writer, mut reader) = connect(&addr);
         for req in [
             Request::Open {
                 session: name.clone(),
@@ -310,11 +318,7 @@ fn tcp_scrapes_validate_under_concurrent_sessions() {
                 slots: 4,
             },
         ] {
-            let line = serde_json::to_string(&req).expect("encode");
-            writeln!(writer, "{line}").expect("send");
-            writer.flush().expect("flush");
-            let mut resp = String::new();
-            reader.read_line(&mut resp).expect("recv");
+            let resp = exchange(&mut writer, &mut reader, &req);
             assert!(
                 !resp.contains("Error"),
                 "setup request failed for {name}: {resp}"
@@ -351,14 +355,13 @@ fn tcp_scrapes_validate_under_concurrent_sessions() {
 
     // Drain the sessions cleanly, then stop the server.
     for (name, mut reader, mut writer) in conns {
-        let line = serde_json::to_string(&Request::Close {
-            session: name.clone(),
-        })
-        .expect("encode");
-        writeln!(writer, "{line}").expect("send close");
-        writer.flush().expect("flush");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("recv close");
+        let resp = exchange(
+            &mut writer,
+            &mut reader,
+            &Request::Close {
+                session: name.clone(),
+            },
+        );
         assert!(resp.contains("Closed"), "{name}: {resp}");
     }
     shutdown_server(server);

@@ -27,8 +27,15 @@ use std::collections::BTreeMap;
 pub struct RollupWindow {
     events: u64,
     counts: BTreeMap<String, u64>,
-    last: BTreeMap<String, f64>,
-    hists: BTreeMap<String, Histogram>,
+    fields: BTreeMap<String, FieldStats>,
+}
+
+/// One field key's state in a window: its newest value and its
+/// distribution.
+#[derive(Debug, Clone)]
+struct FieldStats {
+    last: f64,
+    hist: Histogram,
 }
 
 impl RollupWindow {
@@ -49,33 +56,49 @@ impl RollupWindow {
 
     /// Last value of field key `"<event>.<field>"` in this window.
     pub fn last(&self, key: &str) -> Option<f64> {
-        self.last.get(key).copied()
+        self.fields.get(key).map(|f| f.last)
     }
 
     /// Snapshot the distribution of field key `"<event>.<field>"` as a
     /// [`HistogramLine`] — feed it to [`crate::summary::quantile`].
     pub fn histogram(&self, key: &str) -> Option<HistogramLine> {
-        self.hists.get(key).map(|h| HistogramLine {
+        self.fields.get(key).map(|f| HistogramLine {
             name: key.to_string(),
-            bounds: h.bounds().to_vec(),
-            counts: h.counts().to_vec(),
-            count: h.count(),
-            sum: h.sum(),
-            min: h.min(),
-            max: h.max(),
+            bounds: f.hist.bounds().to_vec(),
+            counts: f.hist.counts().to_vec(),
+            count: f.hist.count(),
+            sum: f.hist.sum(),
+            min: f.hist.min(),
+            max: f.hist.max(),
         })
     }
 
-    fn fold(&mut self, event: &Event) {
+    /// Count one event named `name`. Keys are looked up by `&str`; a
+    /// name is copied only the first time this window sees it.
+    fn count_event(&mut self, name: &str) {
         self.events += 1;
-        *self.counts.entry(event.name.clone()).or_insert(0) += 1;
-        for (field, value) in &event.fields {
-            let key = format!("{}.{}", event.name, field);
-            self.last.insert(key.clone(), *value);
-            self.hists
-                .entry(key)
-                .or_insert_with(Histogram::with_default_bounds)
-                .record(*value);
+        match self.counts.get_mut(name) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(name.to_string(), 1);
+            }
+        }
+    }
+
+    /// Record `value` under field key `key`, copying the key only the
+    /// first time this window sees it.
+    fn record(&mut self, key: &str, value: f64) {
+        match self.fields.get_mut(key) {
+            Some(f) => {
+                f.last = value;
+                f.hist.record(value);
+            }
+            None => {
+                let mut hist = Histogram::with_default_bounds();
+                hist.record(value);
+                self.fields
+                    .insert(key.to_string(), FieldStats { last: value, hist });
+            }
         }
     }
 }
@@ -88,6 +111,9 @@ pub struct Rollup {
     counters: BTreeMap<String, u64>,
     totals: RollupWindow,
     windows: BTreeMap<u64, RollupWindow>,
+    /// Scratch for the `"<event>.<field>"` key being folded, reused so a
+    /// key already seen costs no allocation.
+    key: String,
 }
 
 impl Rollup {
@@ -101,6 +127,7 @@ impl Rollup {
             counters: BTreeMap::new(),
             totals: RollupWindow::default(),
             windows: BTreeMap::new(),
+            key: String::new(),
         }
     }
 
@@ -126,14 +153,26 @@ impl Rollup {
         }
     }
 
-    /// Fold one event (the live-stream fast path).
+    /// Fold one event (the live-stream fast path) into the totals and,
+    /// when it carries a slot, that slot's window. Allocates only for a
+    /// window, event name or field key seen for the first time.
     pub fn push_event(&mut self, event: &Event) {
-        self.totals.fold(event);
-        if let Some(slot) = event.slot {
-            self.windows
-                .entry(slot / self.window_slots)
-                .or_default()
-                .fold(event);
+        let mut window = event
+            .slot
+            .map(|slot| self.windows.entry(slot / self.window_slots).or_default());
+        self.totals.count_event(&event.name);
+        if let Some(w) = window.as_deref_mut() {
+            w.count_event(&event.name);
+        }
+        for (field, value) in &event.fields {
+            self.key.clear();
+            self.key.push_str(&event.name);
+            self.key.push('.');
+            self.key.push_str(field);
+            self.totals.record(&self.key, *value);
+            if let Some(w) = window.as_deref_mut() {
+                w.record(&self.key, *value);
+            }
         }
     }
 
@@ -319,5 +358,102 @@ mod tests {
     fn zero_window_width_is_clamped() {
         let r = Rollup::new(0);
         assert_eq!(r.window_slots(), 1);
+    }
+
+    /// The fold written as plainly as possible: a formatted key per
+    /// field, every update through `entry`.
+    #[derive(Default)]
+    struct ReferenceWindow {
+        events: u64,
+        counts: BTreeMap<String, u64>,
+        last: BTreeMap<String, f64>,
+        hists: BTreeMap<String, Histogram>,
+    }
+
+    impl ReferenceWindow {
+        fn fold(&mut self, event: &Event) {
+            self.events += 1;
+            *self.counts.entry(event.name.clone()).or_insert(0) += 1;
+            for (field, value) in &event.fields {
+                let key = format!("{}.{}", event.name, field);
+                self.last.insert(key.clone(), *value);
+                self.hists
+                    .entry(key)
+                    .or_insert_with(Histogram::with_default_bounds)
+                    .record(*value);
+            }
+        }
+
+        fn assert_matches(&self, w: &RollupWindow) {
+            assert_eq!(w.events(), self.events);
+            let counts: Vec<(&str, u64)> =
+                self.counts.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+            assert_eq!(w.counts().collect::<Vec<_>>(), counts);
+            assert_eq!(
+                w.fields.keys().collect::<Vec<_>>(),
+                self.last.keys().collect::<Vec<_>>()
+            );
+            for (key, last) in &self.last {
+                assert_eq!(w.last(key), Some(*last), "{key}");
+                let h = w.histogram(key).expect("field histogram");
+                let expected = &self.hists[key];
+                assert_eq!(h.count, expected.count(), "{key}");
+                assert_eq!(h.sum, expected.sum(), "{key}");
+                assert_eq!(h.min, expected.min(), "{key}");
+                assert_eq!(h.max, expected.max(), "{key}");
+                assert_eq!(h.counts, expected.counts(), "{key}");
+            }
+        }
+    }
+
+    // Names and fields are drawn from small pools so keys repeat, within
+    // an event too; `"a" + "b.c"` and `"a.b" + "c"` share the key `a.b.c`.
+    const NAMES: [&str; 4] = ["sim.slot", "core.replan", "a", "a.b"];
+    const FIELDS: [&str; 4] = ["battery_j", "horizon_slots", "c", "b.c"];
+
+    proptest::proptest! {
+        #[test]
+        fn the_fold_equals_a_plain_reference_fold(
+            draws in proptest::collection::vec(
+                (
+                    0usize..4,
+                    (proptest::any::<bool>(), 0u64..40),
+                    proptest::collection::vec((0usize..4, -50.0f64..600.0), 0..4),
+                ),
+                0..80,
+            ),
+            width in 1u64..9,
+        ) {
+            let mut rollup = Rollup::new(width);
+            let mut totals = ReferenceWindow::default();
+            let mut windows: BTreeMap<u64, ReferenceWindow> = BTreeMap::new();
+            for (seq, (name, (slotted, slot), fields)) in draws.into_iter().enumerate() {
+                let event = Event {
+                    seq: seq as u64,
+                    scope: String::new(),
+                    name: NAMES[name].to_string(),
+                    slot: slotted.then_some(slot),
+                    time: slot as f64,
+                    fields: fields
+                        .into_iter()
+                        .map(|(f, v)| (FIELDS[f].to_string(), v))
+                        .collect(),
+                    detail: None,
+                };
+                rollup.push_event(&event);
+                totals.fold(&event);
+                if let Some(slot) = event.slot {
+                    windows.entry(slot / width).or_default().fold(&event);
+                }
+            }
+            totals.assert_matches(rollup.totals());
+            proptest::prop_assert_eq!(
+                rollup.windows().map(|(i, _)| i).collect::<Vec<_>>(),
+                windows.keys().copied().collect::<Vec<_>>()
+            );
+            for (index, reference) in &windows {
+                reference.assert_matches(rollup.window(*index).expect("window"));
+            }
+        }
     }
 }
